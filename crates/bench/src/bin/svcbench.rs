@@ -4,12 +4,12 @@
 //! svcbench [smoke] [--out PATH] [--min-speedup X]
 //! ```
 //!
-//! Runs the (shards × pipeline depth) grid against the live event-driven
+//! Runs the pipeline-depth grid against the live event-driven
 //! REST server, 10k concurrent logical sessions per cell, and reports
 //! advice requests per second plus amortized per-request latency
-//! percentiles. `smoke` runs a reduced three-cell grid (the CI job).
+//! percentiles. `smoke` runs a reduced two-cell grid (the CI job).
 //! With `--min-speedup X` the process exits 1 if the best cell's speedup
-//! over the unsharded request-per-round-trip baseline falls below X — CI
+//! over the request-per-round-trip baseline falls below X — CI
 //! uses this to assert the batched path actually pays for itself.
 //! Progress goes to stderr through the `pwm-obs` leveled logger; the JSON
 //! report is printed to stdout and, with `--out`, also written to PATH

@@ -1,11 +1,11 @@
 //! Policy Service front-end throughput benchmark (`svcbench` bin).
 //!
 //! Drives the event-driven REST server end to end — keep-alive HTTP,
-//! pipelined advice windows, the batched `evaluate_transfer_groups` path,
-//! and the sharded policy service — and measures sustained advice requests
-//! per wall-clock second over a grid of (shards × pipeline depth) cells.
-//! The `noreuse` cell is the baseline: a single unsharded shard, one
-//! request per round-trip, and a fresh TCP connection per request —
+//! pipelined advice windows, and the batched `evaluate_transfer_groups`
+//! path — and measures sustained advice requests per wall-clock second
+//! over a grid of pipeline-depth cells. The `noreuse` cell is the
+//! baseline: one request per round-trip and a fresh TCP connection per
+//! request —
 //! exactly how the pre-change client talked to the thread-per-connection
 //! server (one connect per advice call, no keep-alive, no pipelining).
 //! The keep-alive `depth1` cell isolates what connection reuse alone
@@ -15,8 +15,7 @@
 //! explains how to read them.
 //!
 //! Workload: `sessions` logical workflow sessions (distinct workflow ids
-//! and staged files across 64 host pairs, so a sharded service spreads
-//! them over its ring). A warmup pass stages every session's file once;
+//! and staged files across 64 host pairs). A warmup pass stages every session's file once;
 //! the measured phase then cycles advice requests over all sessions —
 //! steady-state duplicate-suppression traffic, the hot path of the paper's
 //! shared-staging scenario — from `connections` concurrent client threads,
@@ -30,17 +29,14 @@ use pwm_obs::{global_logger, HistogramSnapshot, JsonValue};
 use pwm_rest::{PolicyRestClient, PolicyRestServer, ServerLimits};
 use std::time::{Duration, Instant};
 
-/// Distinct (source host, dest host) pairs the workload spreads over; the
-/// shard ring hashes these, so every shard owns a slice of the traffic.
+/// Distinct (source host, dest host) pairs the workload spreads over.
 const HOST_PAIRS: usize = 64;
 
-/// One grid cell: a shard count and a pipeline depth over a fixed workload.
+/// One grid cell: a pipeline depth over a fixed workload.
 #[derive(Debug, Clone)]
 pub struct SvcbenchScenario {
     /// Cell name as it appears in `BENCH_svc.json`.
     pub label: String,
-    /// Policy-service shards (1 = plain unsharded service).
-    pub shards: u16,
     /// Requests pipelined per window (1 = one request per round-trip).
     pub depth: usize,
     /// Concurrent client threads, each with its own keep-alive connection.
@@ -54,48 +50,43 @@ pub struct SvcbenchScenario {
     pub requests: u64,
 }
 
-/// The full grid: shards × depth, all over the same 10k-session workload.
+/// The full grid: pipeline depths over the same 10k-session workload.
 /// The first cell is the baseline the speedups are computed against.
 pub fn standard_suite() -> Vec<SvcbenchScenario> {
     let mut cells = vec![SvcbenchScenario {
-        label: "shards1-depth1-noreuse".into(),
-        shards: 1,
+        label: "depth1-noreuse".into(),
         depth: 1,
         connections: 4,
         keepalive: false,
         sessions: 10_000,
         requests: 20_000,
     }];
-    for &shards in &[1u16, 4] {
-        for &depth in &[1usize, 8, 32] {
-            cells.push(SvcbenchScenario {
-                label: format!("shards{shards}-depth{depth}"),
-                shards,
-                depth,
-                connections: 4,
-                keepalive: true,
-                sessions: 10_000,
-                // Deeper pipelines are faster; give them more requests so
-                // every cell's timed window stays meaningful.
-                requests: 30_000 + 30_000 * depth.min(8) as u64,
-            });
-        }
+    for &depth in &[1usize, 8, 32] {
+        cells.push(SvcbenchScenario {
+            label: format!("depth{depth}"),
+            depth,
+            connections: 4,
+            keepalive: true,
+            sessions: 10_000,
+            // Deeper pipelines are faster; give them more requests so
+            // every cell's timed window stays meaningful.
+            requests: 30_000 + 30_000 * depth.min(8) as u64,
+        });
     }
     cells
 }
 
-/// The CI smoke grid: tiny workload, three cells — enough to assert the
+/// The CI smoke grid: tiny workload, two cells — enough to assert the
 /// batched path is actually faster than request-per-round-trip.
 pub fn smoke_suite() -> Vec<SvcbenchScenario> {
-    [(1u16, 1usize, false), (1, 16, true), (2, 16, true)]
+    [(1usize, false), (16, true)]
         .iter()
-        .map(|&(shards, depth, keepalive)| SvcbenchScenario {
+        .map(|&(depth, keepalive)| SvcbenchScenario {
             label: if keepalive {
-                format!("shards{shards}-depth{depth}")
+                format!("depth{depth}")
             } else {
-                format!("shards{shards}-depth{depth}-noreuse")
+                format!("depth{depth}-noreuse")
             },
-            shards,
             depth,
             connections: 2,
             keepalive,
@@ -143,17 +134,13 @@ fn session_spec(j: usize) -> TransferSpec {
     }
 }
 
-/// Run one grid cell: start a fresh server with the right shard count,
-/// stage every session once (warmup), then hammer the advice path.
+/// Run one grid cell: start a fresh server, stage every session once
+/// (warmup), then hammer the advice path.
 pub fn run_cell(s: &SvcbenchScenario) -> CellResult {
     let session = "svc";
     let config = PolicyConfig::default().with_default_streams(4);
     let controller = PolicyController::new(config.clone());
-    if s.shards <= 1 {
-        controller.create_session(session, config);
-    } else {
-        controller.create_sharded_session(session, config, s.shards);
-    }
+    controller.create_session(session, config);
     let server = PolicyRestServer::start_with_limits(
         controller,
         ServerLimits {
@@ -313,8 +300,8 @@ pub fn run_cell(s: &SvcbenchScenario) -> CellResult {
     }
 }
 
-/// Run a suite and log per-cell progress. The `(shards=1, depth=1)` cell
-/// must be present — it is the speedup baseline.
+/// Run a suite and log per-cell progress. A `depth=1` cell must be
+/// present — it is the speedup baseline.
 pub fn run_suite(suite: &[SvcbenchScenario]) -> Vec<CellResult> {
     let log = global_logger();
     let mut results = Vec::with_capacity(suite.len());
@@ -338,12 +325,11 @@ pub fn run_suite(suite: &[SvcbenchScenario]) -> Vec<CellResult> {
     results
 }
 
-/// The baseline cell of a result set: single shard, one request per
-/// round-trip, and — when such a cell exists — no connection reuse (the
+/// The baseline cell of a result set: one request per round-trip, and — when such a cell exists — no connection reuse (the
 /// pre-change client). Falls back to a keep-alive depth-1 cell so partial
 /// grids still report speedups against *something* unbatched.
 pub fn baseline(results: &[CellResult]) -> Option<&CellResult> {
-    let depth1 = |r: &&CellResult| r.scenario.shards == 1 && r.scenario.depth == 1;
+    let depth1 = |r: &&CellResult| r.scenario.depth == 1;
     results
         .iter()
         .find(|r| depth1(r) && !r.scenario.keepalive)
@@ -365,7 +351,6 @@ pub fn report_json(results: &[CellResult]) -> JsonValue {
         .map(|r| {
             JsonValue::Obj(vec![
                 ("label".into(), JsonValue::Str(r.scenario.label.clone())),
-                ("shards".into(), JsonValue::Int(r.scenario.shards as i64)),
                 ("depth".into(), JsonValue::Int(r.scenario.depth as i64)),
                 (
                     "connections".into(),
@@ -414,10 +399,10 @@ pub fn report_json(results: &[CellResult]) -> JsonValue {
                 baseline(results)
                     .map(|r| {
                         if r.scenario.keepalive {
-                            format!("{} (unsharded, one request per round-trip)", r.scenario.label)
+                            format!("{} (one request per round-trip)", r.scenario.label)
                         } else {
                             format!(
-                                "{} (unsharded, one request per round-trip, fresh TCP connection per request — the pre-change client)",
+                                "{} (one request per round-trip, fresh TCP connection per request — the pre-change client)",
                                 r.scenario.label
                             )
                         }
@@ -449,7 +434,6 @@ mod tests {
     fn tiny_cell_runs_and_reports() {
         let s = SvcbenchScenario {
             label: "tiny".into(),
-            shards: 2,
             depth: 4,
             connections: 2,
             keepalive: true,
@@ -466,10 +450,9 @@ mod tests {
 
     #[test]
     fn baseline_and_best_are_found() {
-        let mk = |label: &str, shards: u16, depth: usize, keepalive: bool, rps: f64| CellResult {
+        let mk = |label: &str, depth: usize, keepalive: bool, rps: f64| CellResult {
             scenario: SvcbenchScenario {
                 label: label.into(),
-                shards,
                 depth,
                 connections: 1,
                 keepalive,
@@ -482,19 +465,13 @@ mod tests {
             latency: HistogramSnapshot::new(),
         };
         let results = vec![
-            mk("shards1-depth1-noreuse", 1, 1, false, 60.0),
-            mk("shards1-depth1", 1, 1, true, 100.0),
-            mk("shards4-depth32", 4, 32, true, 900.0),
+            mk("depth1-noreuse", 1, false, 60.0),
+            mk("depth1", 1, true, 100.0),
+            mk("depth32", 32, true, 900.0),
         ];
-        assert_eq!(
-            baseline(&results).unwrap().scenario.label,
-            "shards1-depth1-noreuse"
-        );
-        assert_eq!(best(&results).unwrap().scenario.label, "shards4-depth32");
+        assert_eq!(baseline(&results).unwrap().scenario.label, "depth1-noreuse");
+        assert_eq!(best(&results).unwrap().scenario.label, "depth32");
         // Without a no-reuse cell the keep-alive depth-1 cell is the fallback.
-        assert_eq!(
-            baseline(&results[1..]).unwrap().scenario.label,
-            "shards1-depth1"
-        );
+        assert_eq!(baseline(&results[1..]).unwrap().scenario.label, "depth1");
     }
 }

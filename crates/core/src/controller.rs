@@ -2,16 +2,16 @@
 //!
 //! Fig. 1: "A Policy Controller manages communication between the web
 //! interface and the policy engine." [`PolicyController`] owns one or more
-//! named policy sessions behind a lock so that concurrent HTTP handler
-//! threads (see `pwm-rest`) can delegate requests safely, and routes each
-//! request to the right session.
+//! named policy sessions, each a single [`PolicyService`] behind its own
+//! lock, and routes each request to the right session. The `pwm-rest` event
+//! loop, in-process transports, and test threads share one controller
+//! through cheap clones.
 
 use crate::advice::{CleanupAdvice, CleanupOutcome, TransferAdvice, TransferOutcome};
 use crate::config::PolicyConfig;
 use crate::durable::DurabilityConfig;
 use crate::model::{CleanupSpec, TransferSpec};
 use crate::service::{MemorySnapshot, PolicyService, RuleCounters, ServiceStats};
-use crate::shard::ShardedPolicyService;
 use parking_lot::{Mutex, RwLock};
 use pwm_obs::Obs;
 use std::collections::BTreeMap;
@@ -38,25 +38,19 @@ impl std::fmt::Display for ControllerError {
 }
 impl std::error::Error for ControllerError {}
 
-/// One live session behind the controller: either a single policy engine
-/// behind its own lock, or a sharded engine with per-shard locks. Cloning
-/// clones the `Arc`, so the session map's lock is never held while a
-/// request runs — sessions contend only on their own locks.
-#[derive(Clone)]
-enum SessionEntry {
-    Single(Arc<Mutex<PolicyService>>),
-    Sharded(Arc<ShardedPolicyService>),
-}
+/// One live session behind the controller: a policy engine behind its own
+/// lock. Cloning clones the `Arc`, so the session map's lock is never held
+/// while a request runs — sessions contend only on their own locks.
+type Session = Arc<Mutex<PolicyService>>;
 
 /// Thread-safe front door to one or more policy sessions.
 ///
-/// Lock domains are per session (and, for sharded sessions, per shard):
-/// the controller-level map lock is a read-mostly `RwLock` held only long
-/// enough to clone a session handle, so traffic on one session never
-/// blocks another.
+/// Lock domains are per session: the controller-level map lock is a
+/// read-mostly `RwLock` held only long enough to clone a session handle,
+/// so traffic on one session never blocks another.
 #[derive(Clone)]
 pub struct PolicyController {
-    inner: Arc<RwLock<BTreeMap<String, SessionEntry>>>,
+    inner: Arc<RwLock<BTreeMap<String, Session>>>,
     /// Shared metrics registry for all sessions. Each session gets its own
     /// tracer (via [`Obs::with_fresh_tracer`]) so trace dumps are
     /// per-session while `/metrics` exposition is controller-wide.
@@ -74,8 +68,10 @@ impl PolicyController {
         controller
     }
 
-    fn insert(&self, name: String, entry: SessionEntry) {
-        self.inner.write().insert(name, entry);
+    fn insert(&self, name: String, service: PolicyService) {
+        self.inner
+            .write()
+            .insert(name, Arc::new(Mutex::new(service)));
     }
 
     /// Create (or replace) a named session. The session shares the
@@ -85,55 +81,7 @@ impl PolicyController {
         let name = name.into();
         let mut service = PolicyService::new(config);
         service.set_obs(self.obs.with_fresh_tracer(), &name);
-        self.insert(name, SessionEntry::Single(Arc::new(Mutex::new(service))));
-    }
-
-    /// Create (or replace) a sharded session: policy memory is split over
-    /// `shards` independent engines by `(source, dest)` host pair (see
-    /// [`ShardedPolicyService`]). Metrics carry `session=<name>` plus a
-    /// per-shard `shard="N"` label.
-    pub fn create_sharded_session(
-        &self,
-        name: impl Into<String>,
-        config: PolicyConfig,
-        shards: u16,
-    ) {
-        let name = name.into();
-        let service = ShardedPolicyService::new(config, shards);
-        service.set_obs(self.obs.with_fresh_tracer(), &name);
-        self.insert(name, SessionEntry::Sharded(Arc::new(service)));
-    }
-
-    /// Create (or replace) a sharded session whose shards each write-ahead
-    /// log and snapshot under `dcfg.dir/shard-N`.
-    pub fn create_sharded_durable_session(
-        &self,
-        name: impl Into<String>,
-        config: PolicyConfig,
-        shards: u16,
-        dcfg: DurabilityConfig,
-    ) -> io::Result<()> {
-        let name = name.into();
-        let service = ShardedPolicyService::new(config, shards);
-        service.enable_durability(&dcfg)?;
-        service.set_obs(self.obs.with_fresh_tracer(), &name);
-        self.insert(name, SessionEntry::Sharded(Arc::new(service)));
-        Ok(())
-    }
-
-    /// Recover a sharded session from per-shard durability directories
-    /// under `dir` (the warm-failover path; logging is not resumed).
-    pub fn recover_sharded_session(
-        &self,
-        name: impl Into<String>,
-        shards: u16,
-        dir: &Path,
-    ) -> io::Result<()> {
-        let name = name.into();
-        let service = ShardedPolicyService::recover_from(dir, shards)?;
-        service.set_obs(self.obs.with_fresh_tracer(), &name);
-        self.insert(name, SessionEntry::Sharded(Arc::new(service)));
-        Ok(())
+        self.insert(name, service);
     }
 
     /// Create (or replace) a durable session: like
@@ -150,7 +98,7 @@ impl PolicyController {
         let mut service = PolicyService::new(config);
         service.enable_durability(dcfg)?;
         service.set_obs(self.obs.with_fresh_tracer(), &name);
-        self.insert(name, SessionEntry::Single(Arc::new(Mutex::new(service))));
+        self.insert(name, service);
         Ok(())
     }
 
@@ -163,7 +111,7 @@ impl PolicyController {
         let name = name.into();
         let mut service = PolicyService::recover_from(dir)?;
         service.set_obs(self.obs.with_fresh_tracer(), &name);
-        self.insert(name, SessionEntry::Single(Arc::new(Mutex::new(service))));
+        self.insert(name, service);
         Ok(())
     }
 
@@ -179,7 +127,7 @@ impl PolicyController {
         let mut service = PolicyService::recover_from(&dcfg.dir)?;
         service.enable_durability(dcfg)?;
         service.set_obs(self.obs.with_fresh_tracer(), &name);
-        self.insert(name, SessionEntry::Single(Arc::new(Mutex::new(service))));
+        self.insert(name, service);
         Ok(())
     }
 
@@ -194,24 +142,21 @@ impl PolicyController {
         self.obs.registry.render_prometheus()
     }
 
-    /// Chrome-trace JSON for one session's tracer (shard 0's tracer for a
-    /// sharded session).
+    /// Chrome-trace JSON for one session's tracer.
     pub fn trace_chrome_json(&self, session: &str) -> Result<String, ControllerError> {
         let fallback = || pwm_obs::Tracer::default().chrome_trace_json();
-        match self.entry(session)? {
-            SessionEntry::Single(s) => Ok(s.lock().trace_chrome_json().unwrap_or_else(fallback)),
-            SessionEntry::Sharded(s) => Ok(s.trace_chrome_json().unwrap_or_else(fallback)),
-        }
+        Ok(self
+            .entry(session)?
+            .lock()
+            .trace_chrome_json()
+            .unwrap_or_else(fallback))
     }
 
     /// Redirect a session's observability onto an external handle — shared
     /// registry *and* tracer. Traced bench runs use this to merge policy
     /// spans into the same export as the executor's and network's spans.
     pub fn attach_obs(&self, session: &str, obs: Obs) -> Result<(), ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => s.lock().set_obs(obs, session),
-            SessionEntry::Sharded(s) => s.set_obs(obs, session),
-        }
+        self.entry(session)?.lock().set_obs(obs, session);
         Ok(())
     }
 
@@ -222,10 +167,7 @@ impl PolicyController {
         session: &str,
         clock: crate::chaos::SharedSimClock,
     ) -> Result<(), ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => s.lock().set_sim_clock(clock),
-            SessionEntry::Sharded(s) => s.set_sim_clock(clock),
-        }
+        self.entry(session)?.lock().set_sim_clock(clock);
         Ok(())
     }
 
@@ -239,18 +181,10 @@ impl PolicyController {
         self.inner.read().keys().cloned().collect()
     }
 
-    /// Shard count of a session (1 for unsharded sessions).
-    pub fn session_shards(&self, session: &str) -> Result<u16, ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(_) => Ok(1),
-            SessionEntry::Sharded(s) => Ok(s.shard_count()),
-        }
-    }
-
     /// Clone a session handle out of the map. The map's read lock is
     /// released before the caller touches the session, so requests only
-    /// contend on their own session's (or shard's) lock.
-    fn entry(&self, name: &str) -> Result<SessionEntry, ControllerError> {
+    /// contend on their own session's lock.
+    fn entry(&self, name: &str) -> Result<Session, ControllerError> {
         self.inner
             .read()
             .get(name)
@@ -264,26 +198,18 @@ impl PolicyController {
         session: &str,
         batch: Vec<TransferSpec>,
     ) -> Result<Vec<TransferAdvice>, ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => Ok(s.lock().evaluate_transfers(batch)),
-            SessionEntry::Sharded(s) => Ok(s.evaluate_transfers(batch)),
-        }
+        Ok(self.entry(session)?.lock().evaluate_transfers(batch))
     }
 
-    /// Delegate several pipelined request groups to a session in one
-    /// batched rules pass per lock domain (see
-    /// [`PolicyService::evaluate_transfer_groups`] and
-    /// [`ShardedPolicyService::evaluate_transfer_groups`]). The result
-    /// aligns 1:1 with `groups`.
+    /// Delegate several pipelined request groups to a session under one
+    /// lock hold (see [`PolicyService::evaluate_transfer_groups`]). The
+    /// result aligns 1:1 with `groups`.
     pub fn evaluate_transfer_groups(
         &self,
         session: &str,
         groups: Vec<Vec<TransferSpec>>,
     ) -> Result<Vec<Vec<TransferAdvice>>, ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => Ok(s.lock().evaluate_transfer_groups(groups)),
-            SessionEntry::Sharded(s) => Ok(s.evaluate_transfer_groups(groups)),
-        }
+        Ok(self.entry(session)?.lock().evaluate_transfer_groups(groups))
     }
 
     /// Delegate transfer outcomes to a session.
@@ -292,10 +218,7 @@ impl PolicyController {
         session: &str,
         outcomes: Vec<TransferOutcome>,
     ) -> Result<(), ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => s.lock().report_transfers(outcomes),
-            SessionEntry::Sharded(s) => s.report_transfers(outcomes),
-        }
+        self.entry(session)?.lock().report_transfers(outcomes);
         Ok(())
     }
 
@@ -305,10 +228,7 @@ impl PolicyController {
         session: &str,
         batch: Vec<CleanupSpec>,
     ) -> Result<Vec<CleanupAdvice>, ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => Ok(s.lock().evaluate_cleanups(batch)),
-            SessionEntry::Sharded(s) => Ok(s.evaluate_cleanups(batch)),
-        }
+        Ok(self.entry(session)?.lock().evaluate_cleanups(batch))
     }
 
     /// Delegate cleanup outcomes to a session.
@@ -317,71 +237,47 @@ impl PolicyController {
         session: &str,
         outcomes: Vec<CleanupOutcome>,
     ) -> Result<(), ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => s.lock().report_cleanups(outcomes),
-            SessionEntry::Sharded(s) => s.report_cleanups(outcomes),
-        }
+        self.entry(session)?.lock().report_cleanups(outcomes);
         Ok(())
     }
 
-    /// Delegate infrastructure health observations to a session (broadcast
-    /// to every shard of a sharded session).
+    /// Delegate infrastructure health observations to a session.
     pub fn report_health(
         &self,
         session: &str,
         events: Vec<crate::model::HealthEvent>,
     ) -> Result<(), ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => s.lock().report_health(events),
-            SessionEntry::Sharded(s) => s.report_health(events),
-        }
+        self.entry(session)?.lock().report_health(events);
         Ok(())
     }
 
-    /// Snapshot a session's policy memory (merged across shards).
+    /// Snapshot a session's policy memory.
     pub fn snapshot(&self, session: &str) -> Result<MemorySnapshot, ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => Ok(s.lock().snapshot()),
-            SessionEntry::Sharded(s) => Ok(s.snapshot()),
-        }
+        Ok(self.entry(session)?.lock().snapshot())
     }
 
-    /// A session's monitoring counters (summed across shards).
+    /// A session's monitoring counters.
     pub fn stats(&self, session: &str) -> Result<ServiceStats, ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => Ok(s.lock().stats()),
-            SessionEntry::Sharded(s) => Ok(s.stats()),
-        }
+        Ok(self.entry(session)?.lock().stats())
     }
 
-    /// A session's per-rule engine counters (summed across shards).
+    /// A session's per-rule engine counters.
     pub fn rule_stats(&self, session: &str) -> Result<Vec<RuleCounters>, ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => Ok(s.lock().rule_stats()),
-            SessionEntry::Sharded(s) => Ok(s.rule_stats()),
-        }
+        Ok(self.entry(session)?.lock().rule_stats())
     }
 
-    /// A session's audit records with sequence ≥ `since` (concatenated
-    /// shard by shard for sharded sessions — each shard numbers its own
-    /// ring).
+    /// A session's audit records with sequence ≥ `since`.
     pub fn audit_since(
         &self,
         session: &str,
         since: u64,
     ) -> Result<Vec<crate::audit::AuditRecord>, ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => Ok(s.lock().audit_since(since)),
-            SessionEntry::Sharded(s) => Ok(s.audit_since(since)),
-        }
+        Ok(self.entry(session)?.lock().audit_since(since))
     }
 
-    /// Reconfigure a session in place (all shards for sharded sessions).
+    /// Reconfigure a session in place.
     pub fn set_config(&self, session: &str, config: PolicyConfig) -> Result<(), ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => s.lock().set_config(config),
-            SessionEntry::Sharded(s) => s.set_config(config),
-        }
+        self.entry(session)?.lock().set_config(config);
         Ok(())
     }
 }

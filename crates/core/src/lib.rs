@@ -57,7 +57,6 @@ pub mod priority;
 pub mod recovery_rules;
 pub mod rules_base;
 pub mod service;
-pub mod shard;
 pub mod storage_rules;
 pub mod transport;
 
@@ -85,9 +84,6 @@ pub use model::{
 };
 pub use priority::{assign_priorities, PriorityAlgorithm, WorkflowGraph};
 pub use recovery_rules::install_recovery_rules;
-pub use service::{
-    HostPairSnapshot, MemorySnapshot, PolicyService, RuleCounters, ServiceStats, SHARD_ID_BITS,
-};
-pub use shard::{fnv1a64, HashRing, ShardedPolicyService, RING_VNODES};
+pub use service::{HostPairSnapshot, MemorySnapshot, PolicyService, RuleCounters, ServiceStats};
 pub use storage_rules::{estimated_dollars, estimated_seconds, install_storage_rules};
 pub use transport::{InProcessTransport, NoPolicyTransport, PolicyTransport, TransportError};

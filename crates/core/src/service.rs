@@ -126,9 +126,8 @@ pub struct HostPairSnapshot {
 /// as monotone counters.
 struct ServiceObs {
     obs: Obs,
-    /// Base label set identifying this service: `session="..."` plus, for
-    /// a shard of a sharded session, `shard="N"`.
-    labels: Vec<(String, String)>,
+    /// The session name, labeling every metric as `session="..."`.
+    session: String,
     /// Optional sim clock: when present, evaluations also emit trace
     /// instants stamped with simulated time (deterministic across runs).
     clock: Option<SharedSimClock>,
@@ -141,10 +140,7 @@ struct ServiceObs {
 impl ServiceObs {
     /// The base labels as the borrowed slice shape the registry expects.
     fn label_refs(&self) -> Vec<(&str, &str)> {
-        self.labels
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect()
+        vec![("session", self.session.as_str())]
     }
 
     /// Advice latency histogram for one request kind (wall-clock, metrics
@@ -256,12 +252,6 @@ pub struct PolicyService {
     fast_path: bool,
 }
 
-/// Shard ids are packed into the top bits of transfer/cleanup/group ids so
-/// each shard of a sharded session mints from a disjoint namespace and
-/// outcome reports can be routed back by id alone. Shard 0's base is 0, so
-/// a single-shard service is bit-identical to an unsharded one.
-pub const SHARD_ID_BITS: u32 = 48;
-
 /// Resident-fact count up to which occupancy gauges are refreshed on every
 /// evaluation pass, so unit tests and small sessions always scrape fresh
 /// values (above it the sweep is time-throttled — see
@@ -318,68 +308,17 @@ impl PolicyService {
         }
     }
 
-    /// Build one shard of a sharded session: like [`PolicyService::new`],
-    /// but transfer/cleanup/group ids are minted from the shard's disjoint
-    /// namespace (`shard << `[`SHARD_ID_BITS`]). Shard 0 behaves exactly
-    /// like an unsharded service.
-    pub fn with_shard(config: PolicyConfig, shard: u16) -> Self {
-        let mut svc = PolicyService::new(config);
-        let base = u64::from(shard) << SHARD_ID_BITS;
-        svc.next_transfer = base;
-        svc.next_cleanup = base;
-        svc.ctx = PolicyCtx::restore(svc.ctx.config.clone(), base);
-        svc
-    }
-
-    /// Which shard minted a transfer id (outcome-report routing).
-    pub fn shard_of_transfer(id: TransferId) -> u16 {
-        (id.0 >> SHARD_ID_BITS) as u16
-    }
-
-    /// Which shard minted a cleanup id (outcome-report routing).
-    pub fn shard_of_cleanup(id: CleanupId) -> u16 {
-        (id.0 >> SHARD_ID_BITS) as u16
-    }
-
-    /// True when policy memory holds a staging/staged resource for `file`
-    /// (used to route cleanup requests to the shard that owns the file).
-    pub fn has_resource(&self, file: &crate::model::Url) -> bool {
-        self.session
-            .wm
-            .find::<ResourceFact>(|r| r.dest == *file)
-            .is_some()
-    }
-
     /// Attach observability: service counters, gauges, and advice-latency
     /// histograms go to `obs.registry` labeled `session=<session>`; trace
     /// instants go to `obs.tracer` once a sim clock is attached with
     /// [`PolicyService::set_sim_clock`]. Per-rule engine counters are
     /// published to the same registry.
     pub fn set_obs(&mut self, obs: Obs, session: &str) {
-        self.set_obs_labeled(obs, vec![("session".to_string(), session.to_string())]);
-    }
-
-    /// Like [`PolicyService::set_obs`], but for one shard of a sharded
-    /// session: every metric additionally carries `shard="N"`.
-    pub fn set_obs_sharded(&mut self, obs: Obs, session: &str, shard: u16) {
-        self.set_obs_labeled(
-            obs,
-            vec![
-                ("session".to_string(), session.to_string()),
-                ("shard".to_string(), shard.to_string()),
-            ],
-        );
-    }
-
-    fn set_obs_labeled(&mut self, obs: Obs, labels: Vec<(String, String)>) {
-        let refs: Vec<(&str, &str)> = labels
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect();
-        self.session.set_obs(obs.registry.clone(), &refs);
+        self.session
+            .set_obs(obs.registry.clone(), &[("session", session)]);
         self.obs = Some(ServiceObs {
             obs,
-            labels,
+            session: session.to_string(),
             clock: None,
             last: self.stats,
             last_audit_dropped: self.audit.dropped(),
@@ -803,7 +742,7 @@ impl PolicyService {
     ///
     /// This is the event loop's batched advice path: a connection's
     /// pipelined requests (or several connections' requests bound for the
-    /// same shard) are drained into a single service call instead of N
+    /// same session) are drained into a single service call instead of N
     /// lock-and-log round trips. Each inner list is one client request and
     /// gets its own independently ordered advice list back.
     ///

@@ -13,7 +13,6 @@
 //!   testbed without sacrificing bit-for-bit reproducibility.
 //! * [`stats`] — Welford accumulators and summaries for the mean ± stddev
 //!   points the benchmark harness reports.
-//! * [`trace`] — bounded in-memory trace log for post-mortems and tests.
 //!
 //! The kernel is intentionally *polling-style*: owners of an [`EventQueue`]
 //! pop typed events in a loop and mutate their own state, which sidesteps the
@@ -42,7 +41,6 @@ pub mod ladder;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use event::{DynQueue, EventHandle, EventQueue, QueueHealth, QueueKind, SimQueue};
 pub use fault::{seeded_windows, CrashPoint, FaultEvent, FaultPlan, FaultWindow};
@@ -51,4 +49,3 @@ pub use ladder::LadderQueue;
 pub use rng::{derive_seed, SimRng};
 pub use stats::{percentile, OnlineStats, Summary};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceLevel, TraceRecord};

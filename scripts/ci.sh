@@ -87,8 +87,8 @@ PWM_PROPTEST_CASES=2048 cargo test -q --release --offline \
   -p pwm-sim --test event_differential
 
 # Svcbench job: the Policy Service front-end smoke grid in release mode —
-# three cells (connect-per-request baseline, pipelined/batched, sharded)
-# against the live event-driven REST server. `--min-speedup 2` makes the
+# two cells (connect-per-request baseline `depth1-noreuse`, pipelined and
+# batched `depth16`) against the live event-driven REST server. `--min-speedup 2` makes the
 # run exit nonzero unless the batched path beats the pre-change
 # connect-per-request client by at least 2x (the full grid in the
 # committed BENCH_svc.json shows >5x); this catches regressions that
@@ -128,5 +128,12 @@ mkdir -p target/resiliencebench
 timeout 120 ./target/release/resiliencebench smoke \
   --out target/resiliencebench/BENCH_resilience.json > /dev/null
 test -s target/resiliencebench/BENCH_resilience.json || { echo "resiliencebench report is empty" >&2; exit 1; }
+
+# Perfbench job: the end-to-end benchmark is a separate Cargo package
+# that calls the workspace crates' public APIs. Building and testing it
+# here makes a change that removes or renames an item it uses fail CI
+# instead of the next benchmark run.
+echo "== perfbench (build + tests) =="
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "CI OK"

@@ -131,12 +131,12 @@ fn metrics_scrape_reflects_rest_traffic() {
     assert!(events >= 3, "one instant per evaluation, got {events}");
 }
 
-/// A sharded session's counters appear once per shard under a `shard="N"`
-/// label, and pipelined traffic drives the event loop's batched counter.
+/// A named session's counters carry its `session` label, and pipelined
+/// traffic drives the event loop's batched counter.
 #[test]
-fn sharded_session_metrics_carry_per_shard_labels() {
+fn session_metrics_carry_session_labels() {
     let controller = PolicyController::new(PolicyConfig::default());
-    controller.create_sharded_session("grid", PolicyConfig::default(), 4);
+    controller.create_session("grid", PolicyConfig::default());
     let server = PolicyRestServer::start(controller).unwrap();
     let client = PolicyRestClient::new(server.addr(), "grid");
 
@@ -160,30 +160,12 @@ fn sharded_session_metrics_carry_per_shard_labels() {
 
     let text = client.metrics().unwrap();
 
-    // Every shard that saw traffic reports under its own label, and the
-    // per-shard counts add up to exactly the 32 requests issued — the
-    // series partition the session's traffic, they don't duplicate it.
-    let mut shards_seen = 0u32;
-    let mut sum = 0u64;
-    for line in text.lines() {
-        if let Some(rest) =
-            line.strip_prefix("pwm_policy_transfer_requests_total{session=\"grid\",shard=\"")
-        {
-            shards_seen += 1;
-            let count = rest
-                .split_once("\"} ")
-                .expect("well-formed series line")
-                .1
-                .parse::<u64>()
-                .expect("counter value");
-            sum += count;
-        }
-    }
+    // One series for the session, counting exactly the 32 requests issued.
     assert!(
-        shards_seen >= 2,
-        "32 host pairs must spread over several shards:\n{text}"
+        text.lines()
+            .any(|l| l == "pwm_policy_transfer_requests_total{session=\"grid\"} 32"),
+        "session request counter missing or wrong:\n{text}"
     );
-    assert_eq!(sum, 32, "per-shard request counters must sum to the total");
 
     // The batched path served the pipelined window.
     let batched = text
