@@ -140,6 +140,11 @@ pub const DEFAULT_AUDIT_RETENTION: usize = 4096;
 impl PolicyConfig {
     /// Threshold in force for a specific host pair.
     pub fn threshold_for(&self, src_host: &str, dst_host: &str) -> u32 {
+        // The greedy rule asks once per charged transfer; skip building the
+        // owned lookup key when no pair overrides are configured.
+        if self.pair_thresholds.is_empty() {
+            return self.default_threshold;
+        }
         self.pair_thresholds
             .get(&(src_host.to_string(), dst_host.to_string()))
             .copied()

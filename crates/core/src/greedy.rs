@@ -42,15 +42,14 @@ pub fn install_greedy_rules(session: &mut Session<PolicyCtx>) {
                 out
             })
             .then(|wm, ctx, m| {
-                let (requested, src_host, dst_host) = {
+                let (requested, threshold) = {
                     let t = wm.get::<TransferFact>(m[0]).expect("matched transfer");
                     (
                         t.streams.unwrap_or(1),
-                        t.spec.source.host.clone(),
-                        t.spec.dest.host.clone(),
+                        ctx.config
+                            .threshold_for(&t.spec.source.host, &t.spec.dest.host),
                     )
                 };
-                let threshold = ctx.config.threshold_for(&src_host, &dst_host);
                 let allocated = wm
                     .get::<HostPairFact>(m[1])
                     .expect("matched host pair")

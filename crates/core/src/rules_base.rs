@@ -7,10 +7,51 @@
 
 use crate::ctx::PolicyCtx;
 use crate::model::{
-    CleanupFact, CleanupState, HostPairFact, ResourceFact, ResourceState, SuppressReason,
-    TransferFact, TransferState, Url,
+    CleanupFact, CleanupId, CleanupState, HostPairFact, ResourceFact, ResourceState,
+    SuppressReason, TransferFact, TransferId, TransferState, Url,
 };
 use pwm_rules::{FactHandle, Rule, Session, WorkingMemory};
+
+/// 64-bit hash key of `parts`, each followed by a separator byte so that
+/// `("ab", "c")` and `("a", "bc")` hash apart. Every index probe through
+/// such a key re-verifies the strings, so a collision costs a compare,
+/// never a wrong match — which is why the cheap word-at-a-time FxHash is
+/// enough here (byte-at-a-time FNV-1a cost ~10% of a greedy Montage run).
+fn str_key<'a>(parts: impl IntoIterator<Item = &'a str>) -> u64 {
+    use std::hash::Hasher;
+    let mut h = pwm_rules::FxHasher::default();
+    for part in parts {
+        h.write(part.as_bytes());
+        h.write_u8(0x1f);
+    }
+    h.finish()
+}
+
+/// Hash key of a transfer's (source, destination) URL pair. Transfer facts
+/// are indexed by this so the dedup rules probe a tiny hash bucket instead
+/// of scanning every resident transfer; bucket hits re-verify the URLs.
+pub(crate) fn transfer_pair_key(source: &Url, dest: &Url) -> u64 {
+    str_key([
+        source.scheme.as_str(),
+        &source.host,
+        &source.path,
+        &dest.scheme,
+        &dest.host,
+        &dest.path,
+    ])
+}
+
+/// Hash key of one URL: the index key of [`ResourceFact`]s (by
+/// destination). Like [`transfer_pair_key`], probes re-verify the URL.
+fn url_key(url: &Url) -> u64 {
+    str_key([url.scheme.as_str(), &url.host, &url.path])
+}
+
+/// Hash key of a (source, destination) host pair: the index key of
+/// [`HostPairFact`]s, re-verified on every probe.
+fn host_pair_key(src_host: &str, dst_host: &str) -> u64 {
+    str_key([src_host, dst_host])
+}
 
 /// Indexed probe: the resource tracking the staged file at `dest`, if any.
 /// Resources are unique per destination ("create a resource" guards on it).
@@ -18,29 +59,8 @@ pub(crate) fn resource_for<'a>(
     wm: &'a WorkingMemory,
     dest: &Url,
 ) -> Option<(FactHandle, &'a ResourceFact)> {
-    wm.find_by::<ResourceFact, Url>(dest)
-}
-
-/// FNV-1a key of a transfer's (source, destination) URL pair. Transfer
-/// facts are indexed by this so the dedup rules probe a tiny hash bucket
-/// instead of scanning every resident transfer; bucket hits re-verify the
-/// actual URLs, so a collision costs a compare, never a wrong match.
-pub(crate) fn transfer_pair_key(source: &Url, dest: &Url) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x1_0000_01b3);
-        }
-        hash ^= 0x1f;
-        hash = hash.wrapping_mul(0x1_0000_01b3);
-    };
-    for url in [source, dest] {
-        eat(url.scheme.as_bytes());
-        eat(url.host.as_bytes());
-        eat(url.path.as_bytes());
-    }
-    hash
+    wm.iter_by::<ResourceFact, u64>(&url_key(dest))
+        .find(|(_, r)| r.dest == *dest)
 }
 
 /// Iterate only the transfers of the batch currently under evaluation —
@@ -59,22 +79,40 @@ pub(crate) fn host_pair_for<'a>(
     src_host: &str,
     dst_host: &str,
 ) -> Option<(FactHandle, &'a HostPairFact)> {
-    wm.find_by::<HostPairFact, (String, String)>(&(src_host.to_string(), dst_host.to_string()))
+    wm.iter_by::<HostPairFact, u64>(&host_pair_key(src_host, dst_host))
+        .find(|(_, p)| p.src_host == src_host && p.dst_host == dst_host)
+}
+
+/// Indexed probe: the resident transfer with id `id`, if any.
+pub(crate) fn transfer_by_id(wm: &WorkingMemory, id: TransferId) -> Option<FactHandle> {
+    wm.find_by::<TransferFact, TransferId>(&id).map(|(h, _)| h)
+}
+
+/// Indexed probe: the resident cleanup with id `id`, if any.
+pub(crate) fn cleanup_by_id(wm: &WorkingMemory, id: CleanupId) -> Option<FactHandle> {
+    wm.find_by::<CleanupFact, CleanupId>(&id).map(|(h, _)| h)
 }
 
 /// Install the Table I rules into a session.
 pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     // Alpha memories for the equality joins below: rules probe resources by
     // destination URL and ledgers by host pair instead of scanning the full
-    // fact population on every re-evaluation.
+    // fact population on every re-evaluation. Both are keyed by a `u64`
+    // hash of the key strings, so maintaining an index entry hashes a few
+    // words instead of cloning the strings; probes re-verify them.
     session
         .wm
-        .register_index::<ResourceFact, Url>(|r| r.dest.clone());
+        .register_index::<ResourceFact, u64>(|r| url_key(&r.dest));
     session
         .wm
-        .register_index::<HostPairFact, (String, String)>(|p| {
-            (p.src_host.clone(), p.dst_host.clone())
-        });
+        .register_index::<HostPairFact, u64>(|p| host_pair_key(&p.src_host, &p.dst_host));
+    // Outcome reports name their transfer or cleanup by id.
+    session
+        .wm
+        .register_index::<TransferFact, TransferId>(|t| t.id);
+    session
+        .wm
+        .register_index::<CleanupFact, CleanupId>(|c| c.id);
     // Dedup support: transfers bucketed by (source, dest) pair hash so the
     // duplicate / already-in-progress rules compare against the handful of
     // transfers sharing a pair instead of the whole population, and by the
@@ -268,13 +306,13 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
             .watches::<HostPairFact>()
             .when(|wm, _: &PolicyCtx| {
                 let mut out = Vec::new();
-                let mut seen: Vec<(String, String)> = Vec::new();
+                let mut seen: Vec<(&str, &str)> = Vec::new();
                 for (h, t) in batch_transfers(wm) {
                     if t.suppressed.is_some() {
                         continue;
                     }
-                    let key = (t.spec.source.host.clone(), t.spec.dest.host.clone());
-                    let exists = wm.find_by::<HostPairFact, (String, String)>(&key).is_some();
+                    let key = (t.spec.source.host.as_str(), t.spec.dest.host.as_str());
+                    let exists = host_pair_for(wm, key.0, key.1).is_some();
                     if !exists && !seen.contains(&key) {
                         seen.push(key);
                         out.push(vec![h]);
@@ -283,13 +321,15 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
                 out
             })
             .then(|wm, ctx, m| {
-                let (src_host, dst_host) = {
+                let new_pair = {
                     let t = wm.get::<TransferFact>(m[0]).expect("matched transfer");
-                    (t.spec.source.host.clone(), t.spec.dest.host.clone())
+                    // Guard against a pair created by an earlier firing in
+                    // the same cascade.
+                    host_pair_for(wm, &t.spec.source.host, &t.spec.dest.host)
+                        .is_none()
+                        .then(|| (t.spec.source.host.clone(), t.spec.dest.host.clone()))
                 };
-                // Guard against a pair created by an earlier firing in the
-                // same cascade.
-                if host_pair_for(wm, &src_host, &dst_host).is_none() {
+                if let Some((src_host, dst_host)) = new_pair {
                     let group = ctx.fresh_group();
                     wm.insert(HostPairFact {
                         src_host,
@@ -361,18 +401,9 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
             .salience(70)
             .when_each::<TransferFact>(|t, _: &PolicyCtx| t.state == TransferState::Completed)
             .then(|wm, _, m| {
-                let (id, charged, src_host, dst_host, dest) = {
-                    let t = wm.get::<TransferFact>(m[0]).expect("matched transfer");
-                    (
-                        t.id,
-                        t.charged_streams,
-                        t.spec.source.host.clone(),
-                        t.spec.dest.host.clone(),
-                        t.spec.dest.clone(),
-                    )
-                };
-                release_streams(wm, &src_host, &dst_host, id, charged);
-                if let Some((rh, _)) = resource_for(wm, &dest) {
+                let (id, charged, pair, resource) = finished_transfer(wm, m[0]);
+                release_streams(wm, pair, charged);
+                if let Some(rh) = resource {
                     wm.update::<ResourceFact>(rh, |r| {
                         if r.producer == Some(id) {
                             r.state = ResourceState::Staged;
@@ -391,18 +422,10 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
             .salience(70)
             .when_each::<TransferFact>(|t, _: &PolicyCtx| t.state == TransferState::Failed)
             .then(|wm, _, m| {
-                let (id, charged, src_host, dst_host, dest) = {
-                    let t = wm.get::<TransferFact>(m[0]).expect("matched transfer");
-                    (
-                        t.id,
-                        t.charged_streams,
-                        t.spec.source.host.clone(),
-                        t.spec.dest.host.clone(),
-                        t.spec.dest.clone(),
-                    )
-                };
-                release_streams(wm, &src_host, &dst_host, id, charged);
-                if let Some((rh, r)) = resource_for(wm, &dest) {
+                let (id, charged, pair, resource) = finished_transfer(wm, m[0]);
+                release_streams(wm, pair, charged);
+                if let Some(rh) = resource {
+                    let r = wm.get::<ResourceFact>(rh).expect("probed resource");
                     if r.producer == Some(id) && r.state == ResourceState::Staging {
                         wm.retract(rh);
                     }
@@ -414,17 +437,27 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     install_cleanup_rules(session);
 }
 
-fn release_streams(
-    wm: &mut pwm_rules::WorkingMemory,
-    src_host: &str,
-    dst_host: &str,
-    _id: crate::model::TransferId,
-    charged: u32,
-) {
+/// What a completed or failed transfer settles on its way out of memory:
+/// its id, the streams it charged, its host pair's ledger (if one exists)
+/// and the resource tracking its destination (if one exists).
+fn finished_transfer(
+    wm: &WorkingMemory,
+    h: FactHandle,
+) -> (TransferId, u32, Option<FactHandle>, Option<FactHandle>) {
+    let t = wm.get::<TransferFact>(h).expect("matched transfer");
+    (
+        t.id,
+        t.charged_streams,
+        host_pair_for(wm, &t.spec.source.host, &t.spec.dest.host).map(|(ph, _)| ph),
+        resource_for(wm, &t.spec.dest).map(|(rh, _)| rh),
+    )
+}
+
+fn release_streams(wm: &mut WorkingMemory, pair: Option<FactHandle>, charged: u32) {
     if charged == 0 {
         return;
     }
-    if let Some((ph, _)) = host_pair_for(wm, src_host, dst_host) {
+    if let Some(ph) = pair {
         wm.update::<HostPairFact>(ph, |p| {
             p.allocated = p.allocated.saturating_sub(charged);
         });

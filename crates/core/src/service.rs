@@ -27,10 +27,13 @@ use crate::model::{
     TransferState,
 };
 use crate::recovery_rules::install_recovery_rules;
-use crate::rules_base::{install_base_rules, resource_for, transfer_pair_key};
+use crate::rules_base::{
+    cleanup_by_id, host_pair_for, install_base_rules, resource_for, transfer_by_id,
+    transfer_pair_key,
+};
 use crate::storage_rules::install_storage_rules;
 use pwm_obs::{Counter, Gauge, Histogram, Obs};
-use pwm_rules::Session;
+use pwm_rules::{FactHandle, Session, WorkingMemory};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
@@ -121,9 +124,110 @@ pub struct HostPairSnapshot {
     pub peak_allocated: u32,
 }
 
+impl ServiceStats {
+    /// The counters in [`STATS_SERIES`] order.
+    fn fields(&self) -> [u64; 9] {
+        [
+            self.transfer_requests,
+            self.transfers_executed,
+            self.transfers_suppressed,
+            self.transfers_completed,
+            self.transfers_failed,
+            self.cleanup_requests,
+            self.cleanups_executed,
+            self.cleanups_suppressed,
+            self.rule_firings,
+        ]
+    }
+}
+
+/// Name and help of the registry counter each [`ServiceStats`] field is
+/// published as, in [`ServiceStats::fields`] order.
+const STATS_SERIES: [(&str, &str); 9] = [
+    (
+        "pwm_policy_transfer_requests_total",
+        "Transfer requests received",
+    ),
+    (
+        "pwm_policy_transfers_executed_total",
+        "Transfers advised to execute",
+    ),
+    (
+        "pwm_policy_transfers_suppressed_total",
+        "Transfers removed from the request list",
+    ),
+    (
+        "pwm_policy_transfers_completed_total",
+        "Transfer completions reported",
+    ),
+    (
+        "pwm_policy_transfers_failed_total",
+        "Transfer failures reported",
+    ),
+    (
+        "pwm_policy_cleanup_requests_total",
+        "Cleanup requests received",
+    ),
+    (
+        "pwm_policy_cleanups_executed_total",
+        "Cleanups advised to execute",
+    ),
+    (
+        "pwm_policy_cleanups_suppressed_total",
+        "Cleanups removed from the request list",
+    ),
+    (
+        "pwm_policy_rule_firings_total",
+        "Rule firings across all evaluations",
+    ),
+];
+
+/// Name and help of the occupancy gauges, in [`occupancy`] order.
+const OCCUPANCY_SERIES: [(&str, &str); 4] = [
+    (
+        "pwm_policy_in_progress_transfers",
+        "Transfers handed out and not yet reported",
+    ),
+    (
+        "pwm_policy_staged_files",
+        "Files known to be staged at their destination",
+    ),
+    ("pwm_policy_staging_files", "Files currently being staged"),
+    (
+        "pwm_policy_in_progress_cleanups",
+        "Cleanups handed out and not yet reported",
+    ),
+];
+
+/// One pass per fact type over policy memory: in-progress transfers,
+/// staged files, staging files, in-progress cleanups.
+fn occupancy(wm: &WorkingMemory) -> [usize; 4] {
+    let mut counts = [0; 4];
+    counts[0] = wm
+        .iter::<TransferFact>()
+        .filter(|(_, t)| t.state == TransferState::InProgress)
+        .count();
+    for (_, r) in wm.iter::<ResourceFact>() {
+        match r.state {
+            ResourceState::Staged => counts[1] += 1,
+            ResourceState::Staging => counts[2] += 1,
+        }
+    }
+    counts[3] = wm
+        .iter::<CleanupFact>()
+        .filter(|(_, c)| c.state == CleanupState::InProgress)
+        .count();
+    counts
+}
+
 /// Observability attachment for one service: shared metrics registry plus a
 /// per-session tracer, with the delta baseline for publishing [`ServiceStats`]
 /// as monotone counters.
+///
+/// Every registry handle is cached here, created on its first publish (so
+/// the set of `/metrics` series is exactly what per-call get-or-create
+/// lookups would produce) and reused after that: an evaluation pass pays
+/// atomic adds, not the registry lock and a rendered label key per series.
 struct ServiceObs {
     obs: Obs,
     /// The session name, labeling every metric as `session="..."`.
@@ -135,100 +239,127 @@ struct ServiceObs {
     last: ServiceStats,
     /// Audit-ring evictions as of the previous publish.
     last_audit_dropped: u64,
+    /// Advice latency histogram per request kind.
+    latency: Vec<(&'static str, Histogram)>,
+    /// One counter per [`STATS_SERIES`] entry, created on its first
+    /// non-zero delta.
+    stats: [Option<Counter>; 9],
+    audit_dropped: Option<Counter>,
+    /// One gauge per [`OCCUPANCY_SERIES`] entry.
+    occupancy: [Option<Gauge>; 4],
+    /// Allocated and peak gauges per host-pair fact, ascending by handle.
+    pairs: Vec<(FactHandle, Gauge, Gauge)>,
 }
 
 impl ServiceObs {
-    /// The base labels as the borrowed slice shape the registry expects.
-    fn label_refs(&self) -> Vec<(&str, &str)> {
-        vec![("session", self.session.as_str())]
+    fn new(obs: Obs, session: &str, stats: ServiceStats, audit_dropped: u64) -> Self {
+        ServiceObs {
+            obs,
+            session: session.to_string(),
+            clock: None,
+            last: stats,
+            last_audit_dropped: audit_dropped,
+            latency: Vec::new(),
+            stats: Default::default(),
+            audit_dropped: None,
+            occupancy: Default::default(),
+            pairs: Vec::new(),
+        }
     }
 
     /// Advice latency histogram for one request kind (wall-clock, metrics
     /// only — never written into traces, which must stay deterministic).
-    fn advice_latency(&self, kind: &'static str) -> Histogram {
-        let mut labels = self.label_refs();
-        labels.push(("kind", kind));
-        self.obs.registry.histogram(
-            "pwm_policy_advice_latency_micros",
-            "Wall-clock latency of one policy evaluation (rule firing pass), microseconds",
-            &labels,
-        )
-    }
-
-    fn counter(&self, name: &str, help: &str) -> Counter {
-        self.obs.registry.counter(name, help, &self.label_refs())
-    }
-
-    fn gauge(&self, name: &str, help: &str) -> Gauge {
-        self.obs.registry.gauge(name, help, &self.label_refs())
+    fn advice_latency(&mut self, kind: &'static str) -> &Histogram {
+        let i = match self.latency.iter().position(|(k, _)| *k == kind) {
+            Some(i) => i,
+            None => {
+                let histogram = self.obs.registry.histogram(
+                    "pwm_policy_advice_latency_micros",
+                    "Wall-clock latency of one policy evaluation (rule firing pass), microseconds",
+                    &[("session", self.session.as_str()), ("kind", kind)],
+                );
+                self.latency.push((kind, histogram));
+                self.latency.len() - 1
+            }
+        };
+        &self.latency[i].1
     }
 
     /// Publish the delta between `stats` and the last published snapshot
     /// onto the registry's counters.
     fn publish_stats(&mut self, stats: ServiceStats) {
-        let pairs: [(&str, &str, u64, u64); 9] = [
-            (
-                "pwm_policy_transfer_requests_total",
-                "Transfer requests received",
-                stats.transfer_requests,
-                self.last.transfer_requests,
-            ),
-            (
-                "pwm_policy_transfers_executed_total",
-                "Transfers advised to execute",
-                stats.transfers_executed,
-                self.last.transfers_executed,
-            ),
-            (
-                "pwm_policy_transfers_suppressed_total",
-                "Transfers removed from the request list",
-                stats.transfers_suppressed,
-                self.last.transfers_suppressed,
-            ),
-            (
-                "pwm_policy_transfers_completed_total",
-                "Transfer completions reported",
-                stats.transfers_completed,
-                self.last.transfers_completed,
-            ),
-            (
-                "pwm_policy_transfers_failed_total",
-                "Transfer failures reported",
-                stats.transfers_failed,
-                self.last.transfers_failed,
-            ),
-            (
-                "pwm_policy_cleanup_requests_total",
-                "Cleanup requests received",
-                stats.cleanup_requests,
-                self.last.cleanup_requests,
-            ),
-            (
-                "pwm_policy_cleanups_executed_total",
-                "Cleanups advised to execute",
-                stats.cleanups_executed,
-                self.last.cleanups_executed,
-            ),
-            (
-                "pwm_policy_cleanups_suppressed_total",
-                "Cleanups removed from the request list",
-                stats.cleanups_suppressed,
-                self.last.cleanups_suppressed,
-            ),
-            (
-                "pwm_policy_rule_firings_total",
-                "Rule firings across all evaluations",
-                stats.rule_firings,
-                self.last.rule_firings,
-            ),
-        ];
-        for (name, help, now, then) in pairs {
-            let delta = now.saturating_sub(then);
+        let then = self.last.fields();
+        for (i, now) in stats.fields().into_iter().enumerate() {
+            let delta = now.saturating_sub(then[i]);
             if delta > 0 {
-                self.counter(name, help).add(delta);
+                let (name, help) = STATS_SERIES[i];
+                let (registry, session) = (&self.obs.registry, self.session.as_str());
+                self.stats[i]
+                    .get_or_insert_with(|| registry.counter(name, help, &[("session", session)]))
+                    .add(delta);
             }
         }
         self.last = stats;
+    }
+
+    /// Publish the audit-ring eviction count as a counter delta.
+    fn publish_audit_dropped(&mut self, dropped: u64) {
+        let delta = dropped.saturating_sub(self.last_audit_dropped);
+        if delta > 0 {
+            let (registry, session) = (&self.obs.registry, self.session.as_str());
+            self.audit_dropped
+                .get_or_insert_with(|| {
+                    registry.counter(
+                        "pwm_policy_audit_dropped_total",
+                        "Audit records evicted by the retention ring",
+                        &[("session", session)],
+                    )
+                })
+                .add(delta);
+            self.last_audit_dropped = dropped;
+        }
+    }
+
+    /// Set the occupancy gauges and every host pair's allocation gauges
+    /// from one sweep of policy memory.
+    fn publish_gauges(&mut self, wm: &WorkingMemory) {
+        let (registry, session) = (&self.obs.registry, self.session.as_str());
+        for ((slot, (name, help)), value) in self
+            .occupancy
+            .iter_mut()
+            .zip(OCCUPANCY_SERIES)
+            .zip(occupancy(wm))
+        {
+            slot.get_or_insert_with(|| registry.gauge(name, help, &[("session", session)]))
+                .set(value as f64);
+        }
+        for (h, p) in wm.iter::<HostPairFact>() {
+            let i = match self.pairs.binary_search_by_key(&h, |e| e.0) {
+                Ok(i) => i,
+                Err(i) => {
+                    let labels = [
+                        ("session", session),
+                        ("src", p.src_host.as_str()),
+                        ("dst", p.dst_host.as_str()),
+                    ];
+                    let allocated = registry.gauge(
+                        "pwm_policy_allocated_streams",
+                        "Streams currently allocated between a host pair",
+                        &labels,
+                    );
+                    let peak = registry.gauge(
+                        "pwm_policy_peak_allocated_streams",
+                        "High-water mark of streams allocated between a host pair",
+                        &labels,
+                    );
+                    self.pairs.insert(i, (h, allocated, peak));
+                    i
+                }
+            };
+            let (_, allocated, peak) = &self.pairs[i];
+            allocated.set(f64::from(p.allocated));
+            peak.set(f64::from(p.peak_allocated));
+        }
     }
 }
 
@@ -242,8 +373,9 @@ pub struct PolicyService {
     audit: AuditLog,
     obs: Option<ServiceObs>,
     durability: Option<Durability>,
-    /// When the occupancy gauges were last swept (throttling clock; not
-    /// part of durable state — it only paces metric publication).
+    /// When the occupancy gauges were last swept while memory was above
+    /// [`GAUGE_SWEEP_RESIDENT_CAP`] (throttling clock; not part of durable
+    /// state — it only paces metric publication).
     last_gauge_sweep: Option<Instant>,
     /// Whether the already-staged-duplicate short circuit is taken (see
     /// [`PolicyService::try_fast_staged_duplicate`]). Always on in
@@ -316,13 +448,12 @@ impl PolicyService {
     pub fn set_obs(&mut self, obs: Obs, session: &str) {
         self.session
             .set_obs(obs.registry.clone(), &[("session", session)]);
-        self.obs = Some(ServiceObs {
+        self.obs = Some(ServiceObs::new(
             obs,
-            session: session.to_string(),
-            clock: None,
-            last: self.stats,
-            last_audit_dropped: self.audit.dropped(),
-        });
+            session,
+            self.stats,
+            self.audit.dropped(),
+        ));
     }
 
     /// Turn on durability: a base snapshot of the current state is written
@@ -550,115 +681,30 @@ impl PolicyService {
     /// latency histogram, stats counter deltas, occupancy gauges, and (with
     /// a sim clock) a trace instant.
     fn note_evaluation(&mut self, kind: &'static str, micros: u64, batch: usize, firings: usize) {
-        if self.obs.is_none() {
-            return;
-        }
-        let stats = self.stats;
-        let audit_dropped = self.audit.dropped();
-        // Occupancy gauges require a sweep over every resident fact (plus a
-        // label-set lookup per host pair), which is O(memory) work per
-        // evaluation — the dominant cost once policy memory holds tens of
-        // thousands of facts. Publish them on every pass while memory is
-        // small (so tests and small sessions observe fresh gauges), then
-        // decimate. Counters and latency histograms stay per-pass.
-        let publish_gauges = self.session.wm.len() <= GAUGE_SWEEP_RESIDENT_CAP
-            || self
-                .last_gauge_sweep
-                .is_none_or(|t| t.elapsed() >= GAUGE_SWEEP_INTERVAL);
-        if publish_gauges {
-            self.last_gauge_sweep = Some(Instant::now());
-        }
-        let snapshot_counts = publish_gauges.then(|| {
-            let wm = &self.session.wm;
-            [
-                wm.iter::<TransferFact>()
-                    .filter(|(_, t)| t.state == TransferState::InProgress)
-                    .count(),
-                wm.iter::<ResourceFact>()
-                    .filter(|(_, r)| r.state == ResourceState::Staged)
-                    .count(),
-                wm.iter::<ResourceFact>()
-                    .filter(|(_, r)| r.state == ResourceState::Staging)
-                    .count(),
-                wm.iter::<CleanupFact>()
-                    .filter(|(_, c)| c.state == CleanupState::InProgress)
-                    .count(),
-            ]
-        });
-        let pair_allocations: Vec<(String, String, u32, u32)> = if publish_gauges {
-            self.session
-                .wm
-                .iter::<HostPairFact>()
-                .map(|(_, p)| {
-                    (
-                        p.src_host.clone(),
-                        p.dst_host.clone(),
-                        p.allocated,
-                        p.peak_allocated,
-                    )
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         let Some(o) = &mut self.obs else { return };
+        let wm = &self.session.wm;
+        // Occupancy gauges require a sweep over every resident fact, which
+        // is O(memory) work per evaluation — the dominant cost once policy
+        // memory holds tens of thousands of facts. Publish them on every
+        // pass while memory is small (so tests and small sessions observe
+        // fresh gauges), then decimate. Counters and latency histograms stay
+        // per-pass.
+        let publish_gauges = if wm.len() <= GAUGE_SWEEP_RESIDENT_CAP {
+            true
+        } else if self
+            .last_gauge_sweep
+            .is_none_or(|t| t.elapsed() >= GAUGE_SWEEP_INTERVAL)
+        {
+            self.last_gauge_sweep = Some(Instant::now());
+            true
+        } else {
+            false
+        };
         o.advice_latency(kind).record(micros);
-        o.publish_stats(stats);
-        let dropped_delta = audit_dropped.saturating_sub(o.last_audit_dropped);
-        if dropped_delta > 0 {
-            o.counter(
-                "pwm_policy_audit_dropped_total",
-                "Audit records evicted by the retention ring",
-            )
-            .add(dropped_delta);
-            o.last_audit_dropped = audit_dropped;
-        }
-        if let Some(counts) = snapshot_counts {
-            for (name, help, value) in [
-                (
-                    "pwm_policy_in_progress_transfers",
-                    "Transfers handed out and not yet reported",
-                    counts[0],
-                ),
-                (
-                    "pwm_policy_staged_files",
-                    "Files known to be staged at their destination",
-                    counts[1],
-                ),
-                (
-                    "pwm_policy_staging_files",
-                    "Files currently being staged",
-                    counts[2],
-                ),
-                (
-                    "pwm_policy_in_progress_cleanups",
-                    "Cleanups handed out and not yet reported",
-                    counts[3],
-                ),
-            ] {
-                o.gauge(name, help).set(value as f64);
-            }
-        }
-        for (src, dst, allocated, peak) in &pair_allocations {
-            let mut labels = o.label_refs();
-            labels.push(("src", src.as_str()));
-            labels.push(("dst", dst.as_str()));
-            o.obs
-                .registry
-                .gauge(
-                    "pwm_policy_allocated_streams",
-                    "Streams currently allocated between a host pair",
-                    &labels,
-                )
-                .set(f64::from(*allocated));
-            o.obs
-                .registry
-                .gauge(
-                    "pwm_policy_peak_allocated_streams",
-                    "High-water mark of streams allocated between a host pair",
-                    &labels,
-                )
-                .set(f64::from(*peak));
+        o.publish_stats(self.stats);
+        o.publish_audit_dropped(self.audit.dropped());
+        if publish_gauges {
+            o.publish_gauges(wm);
         }
         if let Some(clock) = &o.clock {
             o.obs.tracer.instant(
@@ -983,7 +1029,7 @@ impl PolicyService {
         }
         let batch_len = outcomes.len();
         for outcome in outcomes {
-            if let Some((h, _)) = self.session.wm.find::<TransferFact>(|t| t.id == outcome.id) {
+            if let Some(h) = transfer_by_id(&self.session.wm, outcome.id) {
                 self.session.wm.update::<TransferFact>(h, |t| {
                     t.state = if outcome.success {
                         TransferState::Completed
@@ -1086,7 +1132,7 @@ impl PolicyService {
         }
         let batch_len = outcomes.len();
         for outcome in outcomes {
-            if let Some((h, _)) = self.session.wm.find::<CleanupFact>(|c| c.id == outcome.id) {
+            if let Some(h) = cleanup_by_id(&self.session.wm, outcome.id) {
                 if outcome.success {
                     self.session.wm.update::<CleanupFact>(h, |c| {
                         c.state = CleanupState::Completed;
@@ -1186,20 +1232,12 @@ impl PolicyService {
 
     /// Streams currently allocated between a host pair.
     pub fn allocated(&self, src_host: &str, dst_host: &str) -> u32 {
-        self.session
-            .wm
-            .find::<HostPairFact>(|p| p.src_host == src_host && p.dst_host == dst_host)
-            .map(|(_, p)| p.allocated)
-            .unwrap_or(0)
+        host_pair_for(&self.session.wm, src_host, dst_host).map_or(0, |(_, p)| p.allocated)
     }
 
     /// Peak streams ever allocated between a host pair (Table IV).
     pub fn peak_allocated(&self, src_host: &str, dst_host: &str) -> u32 {
-        self.session
-            .wm
-            .find::<HostPairFact>(|p| p.src_host == src_host && p.dst_host == dst_host)
-            .map(|(_, p)| p.peak_allocated)
-            .unwrap_or(0)
+        host_pair_for(&self.session.wm, src_host, dst_host).map_or(0, |(_, p)| p.peak_allocated)
     }
 
     /// Chrome-trace JSON of this service's tracer, or `None` when no
@@ -1217,23 +1255,13 @@ impl PolicyService {
     /// Snapshot of policy memory for monitoring.
     pub fn snapshot(&self) -> MemorySnapshot {
         let wm = &self.session.wm;
+        let [in_progress_transfers, staged_files, staging_files, in_progress_cleanups] =
+            occupancy(wm);
         MemorySnapshot {
-            in_progress_transfers: wm
-                .iter::<TransferFact>()
-                .filter(|(_, t)| t.state == TransferState::InProgress)
-                .count(),
-            staged_files: wm
-                .iter::<ResourceFact>()
-                .filter(|(_, r)| r.state == ResourceState::Staged)
-                .count(),
-            staging_files: wm
-                .iter::<ResourceFact>()
-                .filter(|(_, r)| r.state == ResourceState::Staging)
-                .count(),
-            in_progress_cleanups: wm
-                .iter::<CleanupFact>()
-                .filter(|(_, c)| c.state == CleanupState::InProgress)
-                .count(),
+            in_progress_transfers,
+            staged_files,
+            staging_files,
+            in_progress_cleanups,
             host_pairs: wm
                 .iter::<HostPairFact>()
                 .map(|(_, p)| HostPairSnapshot {

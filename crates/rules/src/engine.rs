@@ -34,10 +34,10 @@
 //! for tuples of up to two facts (the common case: `when_each` rules and
 //! pairwise joins) are stored inline without heap allocation.
 
+use crate::fx::FxHashSet;
 use crate::memory::{FactHandle, WorkingMemory};
 use crate::rule::{Match, Rule};
 use pwm_obs::{Counter, Registry};
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -128,9 +128,6 @@ pub struct FiringReport {
     /// True if the engine stopped due to the firing budget rather than
     /// quiescence.
     pub budget_exhausted: bool,
-    /// Per-rule counter deltas for *this run* (installation order): what was
-    /// evaluated, matched and fired while reaching quiescence.
-    pub rule_stats: Vec<RuleStats>,
 }
 
 const LOG_CAP: usize = 10_000;
@@ -162,87 +159,87 @@ struct RuleState {
 }
 
 impl RuleState {
-    fn counters(&self) -> (u64, u64, u64, u64) {
-        (
+    fn counters(&self) -> [u64; 4] {
+        [
             self.evaluations,
             self.matched,
             self.firings,
             self.eval_nanos,
-        )
+        ]
     }
 }
 
-/// Registry handles for one rule's counter series, created lazily the
-/// first time the rule appears in a published report.
-struct RuleMetrics {
-    evaluations: Counter,
-    matches: Counter,
-    firings: Counter,
-    eval_nanos: Counter,
+/// Registry handles for one rule's counter series (in [`RuleState::counters`]
+/// order), created the first time the rule is published.
+struct RuleMetrics([Counter; 4]);
+
+impl RuleMetrics {
+    fn new(registry: &Registry, labels: &[(&str, &str)]) -> Self {
+        RuleMetrics([
+            registry.counter(
+                "pwm_rules_evaluations_total",
+                "Matcher (re-)evaluations per rule",
+                labels,
+            ),
+            registry.counter(
+                "pwm_rules_matches_total",
+                "Fact tuples returned by matchers per rule",
+                labels,
+            ),
+            registry.counter(
+                "pwm_rules_firings_total",
+                "Rule action firings per rule",
+                labels,
+            ),
+            registry.counter(
+                "pwm_rules_eval_nanos_total",
+                "Cumulative wall-clock nanoseconds spent in matchers per rule",
+                labels,
+            ),
+        ])
+    }
 }
 
 /// Metrics hookup for a session: the shared registry, base labels stamped
-/// onto every series (e.g. the policy session name), and cached per-rule
-/// handles so the hot path pays atomic adds, not registry lookups.
+/// onto every series (e.g. the policy session name), cached per-rule
+/// handles so the hot path pays atomic adds, not registry lookups, and the
+/// counter row each rule last published, so a publish adds the deltas since
+/// then without the engine keeping a per-run copy.
 struct SessionObs {
     registry: Registry,
     labels: Vec<(String, String)>,
     per_rule: Vec<Option<RuleMetrics>>,
+    published: Vec<[u64; 4]>,
 }
 
 impl SessionObs {
-    fn rule_metrics(&mut self, idx: usize, rule_name: &str) -> &RuleMetrics {
-        if self.per_rule.len() <= idx {
-            self.per_rule.resize_with(idx + 1, || None);
+    fn publish<Ctx>(&mut self, rules: &[Rule<Ctx>], states: &[RuleState]) {
+        if self.per_rule.len() < states.len() {
+            // Rules installed since the last publish start from zero.
+            self.per_rule.resize_with(states.len(), || None);
+            self.published.resize(states.len(), [0; 4]);
         }
-        let slot = &mut self.per_rule[idx];
-        if slot.is_none() {
-            let mut labels: Vec<(&str, &str)> = self
-                .labels
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect();
-            labels.push(("rule", rule_name));
-            *slot = Some(RuleMetrics {
-                evaluations: self.registry.counter(
-                    "pwm_rules_evaluations_total",
-                    "Matcher (re-)evaluations per rule",
-                    &labels,
-                ),
-                matches: self.registry.counter(
-                    "pwm_rules_matches_total",
-                    "Fact tuples returned by matchers per rule",
-                    &labels,
-                ),
-                firings: self.registry.counter(
-                    "pwm_rules_firings_total",
-                    "Rule action firings per rule",
-                    &labels,
-                ),
-                eval_nanos: self.registry.counter(
-                    "pwm_rules_eval_nanos_total",
-                    "Cumulative wall-clock nanoseconds spent in matchers per rule",
-                    &labels,
-                ),
-            });
-        }
-        slot.as_ref().expect("slot just filled")
-    }
-
-    fn publish(&mut self, stats: &[RuleStats]) {
-        for (idx, s) in stats.iter().enumerate() {
-            if s.evaluations == 0 && s.matches == 0 && s.firings == 0 && s.eval_nanos == 0 {
-                // Nothing moved; skip the handle lookup entirely for clean
-                // rules (the common case under incremental matching).
-                if self.per_rule.get(idx).map(Option::is_some) == Some(true) {
-                    continue;
-                }
+        for (idx, state) in states.iter().enumerate() {
+            let now = state.counters();
+            let slot = &mut self.per_rule[idx];
+            // Clean rules (the common case under incremental matching) cost
+            // one compare; every rule gets its series on its first publish.
+            if now == self.published[idx] && slot.is_some() {
+                continue;
             }
-            let m = self.rule_metrics(idx, &s.name);
-            m.evaluations.add(s.evaluations);
-            m.matches.add(s.matches);
-            m.firings.add(s.firings);
-            m.eval_nanos.add(s.eval_nanos);
+            let metrics = slot.get_or_insert_with(|| {
+                let mut labels: Vec<(&str, &str)> = self
+                    .labels
+                    .iter()
+                    .map(|(k, v)| (k.as_str(), v.as_str()))
+                    .collect();
+                labels.push(("rule", rules[idx].name()));
+                RuleMetrics::new(&self.registry, &labels)
+            });
+            for ((counter, now), then) in metrics.0.iter().zip(now).zip(self.published[idx]) {
+                counter.add(now - then);
+            }
+            self.published[idx] = now;
         }
     }
 }
@@ -254,7 +251,7 @@ pub struct Session<Ctx> {
     pub wm: WorkingMemory,
     rules: Vec<Rule<Ctx>>,
     states: Vec<RuleState>,
-    fired: HashSet<RefractionKey>,
+    fired: FxHashSet<RefractionKey>,
     /// Rule indices sorted by (salience desc, installation order); rebuilt
     /// lazily after `add_rule` instead of per firing.
     order: Vec<usize>,
@@ -272,7 +269,7 @@ impl<Ctx> Session<Ctx> {
             wm: WorkingMemory::new(),
             rules: Vec::new(),
             states: Vec::new(),
-            fired: HashSet::new(),
+            fired: FxHashSet::default(),
             order: Vec::new(),
             order_valid: true,
             max_firings: 100_000,
@@ -286,7 +283,8 @@ impl<Ctx> Session<Ctx> {
     /// `pwm_rules_matches_total`, `pwm_rules_firings_total`,
     /// `pwm_rules_eval_nanos_total`) to `registry` at the end of every
     /// [`Session::fire_all`], each series labeled with the rule name plus
-    /// the given base labels (e.g. the owning policy session).
+    /// the given base labels (e.g. the owning policy session). Only activity
+    /// after this call is published.
     pub fn set_obs(&mut self, registry: Registry, base_labels: &[(&str, &str)]) {
         self.obs = Some(SessionObs {
             registry,
@@ -294,7 +292,8 @@ impl<Ctx> Session<Ctx> {
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.to_string()))
                 .collect(),
-            per_rule: Vec::new(),
+            per_rule: self.states.iter().map(|_| None).collect(),
+            published: self.states.iter().map(RuleState::counters).collect(),
         });
     }
 
@@ -391,8 +390,6 @@ impl<Ctx> Session<Ctx> {
 
     /// Run rules to quiescence. Returns what fired.
     pub fn fire_all(&mut self, ctx: &mut Ctx) -> FiringReport {
-        let baseline: Vec<(u64, u64, u64, u64)> =
-            self.states.iter().map(RuleState::counters).collect();
         let mut firings = 0;
         let mut log = Vec::new();
         let mut budget_exhausted = false;
@@ -402,41 +399,29 @@ impl<Ctx> Session<Ctx> {
                 break;
             }
             match self.next_activation(ctx) {
-                Some((rule_idx, m, key)) => {
+                Some((rule_idx, pos, key)) => {
                     self.fired.insert(key);
-                    self.states[rule_idx].firings += 1;
+                    let state = &mut self.states[rule_idx];
+                    state.firings += 1;
                     let rule = &mut self.rules[rule_idx];
                     if self.log_firings && log.len() < LOG_CAP {
                         log.push(rule.name_arc());
                     }
-                    rule.fire(&mut self.wm, ctx, &m);
+                    // The action sees the cached tuple in place: it mutates
+                    // working memory, never the agenda.
+                    rule.fire(&mut self.wm, ctx, &state.matches[pos]);
                     firings += 1;
                 }
                 None => break,
             }
         }
-        let rule_stats = self
-            .rules
-            .iter()
-            .zip(&self.states)
-            .zip(baseline)
-            .map(|((rule, state), (ev0, ma0, fi0, ns0))| RuleStats {
-                name: rule.name_arc(),
-                salience: rule.salience(),
-                evaluations: state.evaluations - ev0,
-                matches: state.matched - ma0,
-                firings: state.firings - fi0,
-                eval_nanos: state.eval_nanos - ns0,
-            })
-            .collect::<Vec<_>>();
         if let Some(obs) = &mut self.obs {
-            obs.publish(&rule_stats);
+            obs.publish(&self.rules, &self.states);
         }
         FiringReport {
             firings,
             log,
             budget_exhausted,
-            rule_stats,
         }
     }
 
@@ -475,7 +460,7 @@ impl<Ctx> Session<Ctx> {
         let pass: Vec<bool> = changed.iter().map(|&h| (probe)(wm, ctx, h)).collect();
         let mut merged = Vec::with_capacity(state.matches.len() + changed.len());
         let mut ci = 0;
-        for m in &state.matches {
+        for m in std::mem::take(&mut state.matches) {
             let h = m[0];
             while ci < changed.len() && changed[ci] < h {
                 if pass[ci] {
@@ -490,7 +475,7 @@ impl<Ctx> Session<Ctx> {
                 ci += 1;
                 continue;
             }
-            merged.push(m.clone());
+            merged.push(m);
         }
         while ci < changed.len() {
             if pass[ci] {
@@ -517,7 +502,9 @@ impl<Ctx> Session<Ctx> {
     /// memory in (salience desc, installation) order and returning the first
     /// non-refracted live tuple; the cache/dirty machinery only skips work
     /// whose outcome cannot have changed.
-    fn next_activation(&mut self, ctx: &Ctx) -> Option<(usize, Match, RefractionKey)> {
+    /// Returns the rule index, the tuple's position in that rule's cached
+    /// matches, and its refraction key.
+    fn next_activation(&mut self, ctx: &Ctx) -> Option<(usize, usize, RefractionKey)> {
         self.ensure_order();
         for oi in 0..self.order.len() {
             let idx = self.order[oi];
@@ -557,7 +544,7 @@ impl<Ctx> Session<Ctx> {
                 // The caller refracts this tuple before firing, so the next
                 // scan may resume here.
                 state.scan_from = pos;
-                return Some((idx, m.clone(), key));
+                return Some((idx, pos, key));
             }
             state.exhausted = true;
         }
@@ -845,11 +832,13 @@ mod tests {
             "Counter rule re-evaluated while its watched type was clean"
         );
         assert!(after[1].evaluations > before[1].evaluations);
-        // The per-run report shows the same: zero evaluations for the clean
-        // rule, at least one for the dirty rule.
-        assert_eq!(report.rule_stats[0].evaluations, 0);
-        assert!(report.rule_stats[1].evaluations >= 1);
-        assert_eq!(report.rule_stats[1].firings, 1);
+        // The call's counter deltas show the same: zero evaluations for the
+        // clean rule, at least one for the dirty rule, and the one firing
+        // attributed to the dirty rule.
+        assert_eq!(after[0].evaluations - before[0].evaluations, 0);
+        assert!(after[1].evaluations - before[1].evaluations >= 1);
+        assert_eq!(after[1].firings - before[1].firings, 1);
+        assert_eq!(after[0].firings, before[0].firings);
     }
 
     #[test]

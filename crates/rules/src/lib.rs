@@ -45,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+mod fx;
 #[cfg(feature = "legacy-facts")]
 pub mod legacy;
 pub mod memory;
@@ -54,6 +55,7 @@ pub mod query;
 pub mod rule;
 
 pub use engine::{FiringReport, RuleStats, Session};
+pub use fx::FxHasher;
 #[cfg(feature = "legacy-facts")]
 pub use legacy::LegacyWorkingMemory;
 pub use memory::{Fact, FactHandle, FactId, WorkingMemory};

@@ -22,8 +22,8 @@
 //! preserved as [`crate::legacy::LegacyWorkingMemory`] behind the
 //! `legacy-facts` feature to serve as the differential-test oracle.
 
+use crate::fx::FxHashMap;
 use std::any::{Any, TypeId};
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
@@ -346,30 +346,38 @@ trait ErasedIndex: Send {
 /// so [`WorkingMemory::iter_by`] resolves facts by direct slab indexing:
 /// one slab downcast per *call*, zero downcasts per fact. Postings are
 /// handle-ordered, so indexed lookups see facts in the same insertion order
-/// as [`WorkingMemory::iter`].
+/// as [`WorkingMemory::iter`]. They are sorted vectors: handles are issued in
+/// ascending order, so a fresh fact's posting is a push, and a probe walks a
+/// slice.
 struct KeyIndex<T: Fact, K: Eq + Hash + Clone + Send + 'static> {
     extract: fn(&T) -> K,
-    /// key → (handle → slot), handle-ascending.
-    map: HashMap<K, BTreeMap<FactHandle, u32>>,
+    /// key → (handle, slot) postings, handle-ascending.
+    map: FxHashMap<K, Vec<(FactHandle, u32)>>,
     /// Each indexed handle's current key, so removals and no-op re-keys
     /// never re-extract from a stale fact value.
-    back: HashMap<FactHandle, K>,
+    back: FxHashMap<FactHandle, K>,
 }
 
 impl<T: Fact, K: Eq + Hash + Clone + Send + 'static> KeyIndex<T, K> {
     fn link(&mut self, handle: FactHandle, slot: u32, key: K) {
-        self.map
-            .entry(key.clone())
-            .or_default()
-            .insert(handle, slot);
+        let postings = self.map.entry(key.clone()).or_default();
+        match postings.last() {
+            Some(&(last, _)) if last > handle => {
+                let at = postings.partition_point(|&(h, _)| h < handle);
+                postings.insert(at, (handle, slot));
+            }
+            _ => postings.push((handle, slot)),
+        }
         self.back.insert(handle, key);
     }
 
     fn unlink(&mut self, handle: FactHandle) {
         if let Some(key) = self.back.remove(&handle) {
-            if let Some(set) = self.map.get_mut(&key) {
-                set.remove(&handle);
-                if set.is_empty() {
+            if let Some(postings) = self.map.get_mut(&key) {
+                if let Ok(at) = postings.binary_search_by_key(&handle, |&(h, _)| h) {
+                    postings.remove(at);
+                }
+                if postings.is_empty() {
                     self.map.remove(&key);
                 }
             }
@@ -452,10 +460,10 @@ impl TypeLog {
 #[derive(Default)]
 pub struct WorkingMemory {
     /// One generational arena per fact type.
-    slabs: HashMap<TypeId, Box<dyn ErasedSlab>>,
+    slabs: FxHashMap<TypeId, Box<dyn ErasedSlab>>,
     /// handle → (slab, slot). Entries are removed on retract, so membership
     /// doubles as liveness and the map never grows past the live fact count.
-    handle_index: HashMap<u64, HandleEntry>,
+    handle_index: FxHashMap<u64, HandleEntry>,
     next_handle: u64,
     /// Live facts across all slabs.
     live: usize,
@@ -466,11 +474,11 @@ pub struct WorkingMemory {
     /// was last inserted/updated/retracted. The incremental engine compares
     /// these against the generation a rule's match cache was computed at, so
     /// a mutation to type `T` only invalidates rules watching `T`.
-    type_gen: HashMap<TypeId, u64>,
+    type_gen: FxHashMap<TypeId, u64>,
     /// Secondary indexes, keyed by (fact type, key type).
-    indexes: HashMap<(TypeId, TypeId), Box<dyn ErasedIndex>>,
+    indexes: FxHashMap<(TypeId, TypeId), Box<dyn ErasedIndex>>,
     /// Per-type mutation logs (see [`TypeLog`]).
-    type_log: HashMap<TypeId, TypeLog>,
+    type_log: FxHashMap<TypeId, TypeLog>,
 }
 
 impl fmt::Debug for WorkingMemory {
@@ -706,8 +714,8 @@ impl WorkingMemory {
     ) {
         let mut index = KeyIndex::<T, K> {
             extract,
-            map: HashMap::new(),
-            back: HashMap::new(),
+            map: FxHashMap::default(),
+            back: FxHashMap::default(),
         };
         if let Some(slab) = self.slab::<T>() {
             for (h, slot, t) in slab.iter_slots() {
@@ -742,7 +750,7 @@ impl WorkingMemory {
         self.key_index::<T, K>()
             .map
             .get(key)
-            .map(|set| set.keys().copied().collect())
+            .map(|postings| postings.iter().map(|&(h, _)| h).collect())
             .unwrap_or_default()
     }
 
@@ -760,8 +768,8 @@ impl WorkingMemory {
             .map
             .get(key)
             .into_iter()
-            .flat_map(|set| set.iter())
-            .map(move |(&h, &slot)| {
+            .flat_map(|postings| postings.iter())
+            .map(move |&(h, slot)| {
                 let slab = slab.expect("indexed fact implies slab");
                 (h, slab.value(slot))
             })
@@ -787,7 +795,7 @@ impl WorkingMemory {
         &self,
         key: &K,
     ) -> Option<(FactHandle, &T)> {
-        let (&handle, &slot) = self.key_index::<T, K>().map.get(key)?.iter().next()?;
+        let &(handle, slot) = self.key_index::<T, K>().map.get(key)?.first()?;
         let slab = self.slab::<T>().expect("indexed fact implies slab");
         Some((handle, slab.value(slot)))
     }

@@ -270,7 +270,7 @@ macro_rules! impl_store {
 impl_store!(WorkingMemory);
 impl_store!(LegacyWorkingMemory);
 
-/// The counters `pwm_rules::FiringReport` aggregates per rule, reproduced
+/// The per-rule counters `pwm_rules::Session::rule_stats` reports, reproduced
 /// by the mini evaluator so they can be compared across stores.
 #[derive(Debug, PartialEq, Default)]
 struct Counters {

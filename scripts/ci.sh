@@ -136,4 +136,27 @@ test -s target/resiliencebench/BENCH_resilience.json || { echo "resiliencebench 
 echo "== perfbench (build + tests) =="
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
+# Perfbench output checks: a short run of every workload BENCHMARK.json
+# lists, plus one traced montage-greedy run. Each run checks its own
+# outputs (run success, Table IV WAN peak, staged bytes, repeat-seed
+# determinism, REST equal to in-process, Chrome-trace validity) and ends
+# with a JSON line whose "correct" field reports the verdict.
+echo "== perfbench smoke (output checks) =="
+cargo build -q --release --offline --manifest-path perfbench/Cargo.toml
+perfbench_check() {
+  local last
+  # A failed check also exits 1; the verdict line decides either way.
+  last="$(./perfbench/target/release/perfbench "$@" | tail -n 1)" || true
+  case "$last" in
+    *'"correct":true'*) ;;
+    *) echo "perfbench $* failed its output checks: $last" >&2; exit 1 ;;
+  esac
+}
+workloads="$(sed -n '/"workloads"/,/^  \]/s/.*"name": "\([^"]*\)".*/\1/p' BENCHMARK.json)"
+test -n "$workloads" || { echo "no workloads found in BENCHMARK.json" >&2; exit 1; }
+for w in $workloads; do
+  perfbench_check --workload "$w" --seed 1 --seconds 3 --trace 0
+done
+perfbench_check --workload montage-greedy --seed 1 --seconds 3 --trace 1
+
 echo "CI OK"

@@ -224,3 +224,282 @@ fn queue_health_series_reach_the_metrics_render() {
         "heap-pinned run must label queue series with queue=\"heap\":\n{text}"
     );
 }
+
+/// Sample values of every series in a Prometheus exposition, keyed by the
+/// series name with its label set (`name{k="v",...}`).
+fn samples(text: &str) -> std::collections::BTreeMap<String, f64> {
+    text.lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| {
+            let (series, value) = l.rsplit_once(' ')?;
+            Some((series.to_string(), value.parse().ok()?))
+        })
+        .collect()
+}
+
+/// Sum of one per-rule counter family over the rules of `session`.
+fn rule_family_sum(samples: &std::collections::BTreeMap<String, f64>, family: &str) -> u64 {
+    let session = "session=\"default\"";
+    samples
+        .iter()
+        .filter(|(k, _)| k.starts_with(&format!("{family}{{")) && k.contains(session))
+        .map(|(_, v)| *v as u64)
+        .sum()
+}
+
+/// Every series the service publishes agrees with its accessors after
+/// every call of a seeded Montage greedy session: the cached registry
+/// handles must publish exactly what per-call lookups would.
+fn assert_metrics_match_accessors(controller: &PolicyController, call: &str) {
+    use pwm_core::DEFAULT_SESSION as S;
+    let m = samples(&controller.render_metrics());
+    let get = |series: &str| m.get(series).copied().unwrap_or(0.0);
+    let stats = controller.stats(S).unwrap();
+    for (name, value) in [
+        (
+            "pwm_policy_transfer_requests_total",
+            stats.transfer_requests,
+        ),
+        (
+            "pwm_policy_transfers_executed_total",
+            stats.transfers_executed,
+        ),
+        (
+            "pwm_policy_transfers_suppressed_total",
+            stats.transfers_suppressed,
+        ),
+        (
+            "pwm_policy_transfers_completed_total",
+            stats.transfers_completed,
+        ),
+        ("pwm_policy_transfers_failed_total", stats.transfers_failed),
+        ("pwm_policy_cleanup_requests_total", stats.cleanup_requests),
+        (
+            "pwm_policy_cleanups_executed_total",
+            stats.cleanups_executed,
+        ),
+        (
+            "pwm_policy_cleanups_suppressed_total",
+            stats.cleanups_suppressed,
+        ),
+        ("pwm_policy_rule_firings_total", stats.rule_firings),
+    ] {
+        assert_eq!(
+            get(&format!("{name}{{session=\"default\"}}")),
+            value as f64,
+            "{name} after {call}"
+        );
+    }
+    let audit = controller.audit_since(S, 0).unwrap();
+    let recorded = audit.last().map_or(0, |r| r.seq + 1);
+    assert_eq!(
+        get("pwm_policy_audit_dropped_total{session=\"default\"}"),
+        (recorded - audit.len() as u64) as f64,
+        "audit evictions after {call}"
+    );
+
+    let snap = controller.snapshot(S).unwrap();
+    for (name, value) in [
+        (
+            "pwm_policy_in_progress_transfers",
+            snap.in_progress_transfers,
+        ),
+        ("pwm_policy_staged_files", snap.staged_files),
+        ("pwm_policy_staging_files", snap.staging_files),
+        ("pwm_policy_in_progress_cleanups", snap.in_progress_cleanups),
+    ] {
+        assert_eq!(
+            m.get(&format!("{name}{{session=\"default\"}}")).copied(),
+            Some(value as f64),
+            "{name} after {call}"
+        );
+    }
+    for pair in &snap.host_pairs {
+        let labels = format!(
+            "{{dst=\"{}\",session=\"default\",src=\"{}\"}}",
+            pair.dst_host, pair.src_host
+        );
+        assert_eq!(
+            m.get(&format!("pwm_policy_allocated_streams{labels}"))
+                .copied(),
+            Some(f64::from(pair.allocated)),
+            "allocated gauge after {call}"
+        );
+        assert_eq!(
+            m.get(&format!("pwm_policy_peak_allocated_streams{labels}"))
+                .copied(),
+            Some(f64::from(pair.peak_allocated)),
+            "peak gauge after {call}"
+        );
+    }
+
+    let rules = controller.rule_stats(S).unwrap();
+    for (family, total) in [
+        (
+            "pwm_rules_evaluations_total",
+            rules.iter().map(|r| r.evaluations).sum::<u64>(),
+        ),
+        (
+            "pwm_rules_matches_total",
+            rules.iter().map(|r| r.matches).sum(),
+        ),
+        (
+            "pwm_rules_firings_total",
+            rules.iter().map(|r| r.firings).sum(),
+        ),
+    ] {
+        assert_eq!(rule_family_sum(&m, family), total, "{family} after {call}");
+    }
+}
+
+#[test]
+fn cached_metric_handles_track_a_montage_session() {
+    use pwm_core::{
+        AllocationPolicy, CleanupOutcome, CleanupSpec, ClusterId, TransferOutcome,
+        DEFAULT_SESSION as S,
+    };
+    use pwm_workflow::{plan, ComputeSite, PlanJobKind, PlannerConfig};
+
+    let (_topo, gridftp, apache, nfs) = pwm_net::paper_testbed();
+    let site = ComputeSite {
+        name: "obelix".into(),
+        nodes: 9,
+        cores_per_node: 6,
+        storage_host: nfs,
+        storage_host_name: "obelix-nfs".into(),
+        scratch_dir: "/scratch".into(),
+    };
+    let wf = pwm_montage::montage_workflow(&pwm_montage::MontageConfig {
+        extra_file_bytes: mb(1),
+        seed: 5,
+        ..Default::default()
+    });
+    let rc = pwm_montage::montage_replicas(&wf, ("apache-isi", apache), ("gridftp-vm", gridftp));
+    let p = plan(&wf, &site, &rc, &PlannerConfig::default()).unwrap();
+
+    // A small audit ring, so the eviction counter moves too.
+    let controller = PolicyController::new(
+        PolicyConfig::default()
+            .with_default_streams(8)
+            .with_threshold(50)
+            .with_allocation(AllocationPolicy::Greedy)
+            .with_audit_retention(64),
+    );
+
+    // Stage-in groups in plan order; completions are reported every third
+    // group so transfers are in flight at most checks. Each first group is
+    // re-requested once, which takes the staged-duplicate path.
+    let mut pending = Vec::new();
+    let mut first_group = None;
+    let mut stage_ins = 0;
+    for job in p.jobs() {
+        let PlanJobKind::StageIn { transfers, cluster } = &job.kind else {
+            continue;
+        };
+        let group: Vec<TransferSpec> = transfers
+            .iter()
+            .map(|pt| TransferSpec {
+                source: pt.source.clone(),
+                dest: pt.dest.clone(),
+                bytes: pt.bytes,
+                requested_streams: None,
+                workflow: WorkflowId(1),
+                cluster: cluster.map(ClusterId),
+                priority: Some(job.priority),
+            })
+            .collect();
+        first_group.get_or_insert_with(|| group.clone());
+        let advice = controller.evaluate_transfers(S, group).unwrap();
+        assert_metrics_match_accessors(&controller, "evaluate_transfers");
+        pending.extend(
+            advice
+                .iter()
+                .filter(|a| a.should_execute())
+                .map(|a| TransferOutcome {
+                    id: a.id,
+                    success: true,
+                }),
+        );
+        stage_ins += 1;
+        if stage_ins % 3 == 0 {
+            controller
+                .report_transfers(S, std::mem::take(&mut pending))
+                .unwrap();
+            assert_metrics_match_accessors(&controller, "report_transfers");
+        }
+    }
+    controller.report_transfers(S, pending).unwrap();
+    assert_metrics_match_accessors(&controller, "report_transfers");
+    for spec in first_group.expect("Montage has staging jobs") {
+        controller.evaluate_transfers(S, vec![spec]).unwrap();
+        assert_metrics_match_accessors(&controller, "duplicate evaluate_transfers");
+    }
+
+    // Cleanup jobs in plan order, each reported right away.
+    for job in p.jobs() {
+        let PlanJobKind::Cleanup { files } = &job.kind else {
+            continue;
+        };
+        let specs = files
+            .iter()
+            .map(|(file, _)| CleanupSpec {
+                file: file.clone(),
+                workflow: WorkflowId(1),
+            })
+            .collect();
+        let advice = controller.evaluate_cleanups(S, specs).unwrap();
+        assert_metrics_match_accessors(&controller, "evaluate_cleanups");
+        let outcomes = advice
+            .iter()
+            .filter(|a| a.should_execute())
+            .map(|a| CleanupOutcome {
+                id: a.id,
+                success: true,
+            })
+            .collect();
+        controller.report_cleanups(S, outcomes).unwrap();
+        assert_metrics_match_accessors(&controller, "report_cleanups");
+    }
+    let stats = controller.stats(S).unwrap();
+    assert!(stats.transfers_suppressed > 0 && stats.cleanups_executed > 0);
+
+    // Re-attaching observability moves every later series to the new
+    // registry; the old one stops changing.
+    let before = controller.render_metrics();
+    let fresh = pwm_obs::Obs::new();
+    controller.attach_obs(S, fresh.clone()).unwrap();
+    controller
+        .evaluate_transfers(
+            S,
+            vec![TransferSpec {
+                source: Url::new("gsiftp", "gridftp-vm", "/d/after-attach.dat"),
+                dest: Url::new("file", "obelix-nfs", "/s/after-attach.dat"),
+                bytes: 1_000_000,
+                requested_streams: None,
+                workflow: WorkflowId(2),
+                cluster: None,
+                priority: None,
+            }],
+        )
+        .unwrap();
+    assert_eq!(
+        controller.render_metrics(),
+        before,
+        "old registry moved after re-attach"
+    );
+    let m = samples(&fresh.registry.render_prometheus());
+    assert_eq!(
+        m.get("pwm_policy_transfer_requests_total{session=\"default\"}"),
+        Some(&1.0)
+    );
+    assert_eq!(
+        m.get("pwm_policy_advice_latency_micros_count{kind=\"evaluate_transfers\",session=\"default\"}"),
+        Some(&1.0)
+    );
+    assert_eq!(
+        m.get("pwm_policy_in_progress_transfers{session=\"default\"}"),
+        Some(&1.0)
+    );
+    assert!(rule_family_sum(&m, "pwm_rules_evaluations_total") > 0);
+    assert!(rule_family_sum(&m, "pwm_rules_firings_total") > 0);
+}
